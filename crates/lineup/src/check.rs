@@ -2,6 +2,7 @@
 //! specification from serial executions, then verify every concurrent
 //! execution against it.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::ops::ControlFlow;
@@ -18,9 +19,9 @@ use crate::adt::MonitorPathStats;
 use crate::harness::{explore_matrix, explore_matrix_with_strategy};
 use crate::history::{History, HistoryCache, OpIndex};
 use crate::matrix::{SymmetryGroups, TestMatrix};
-use crate::spec::{Nondeterminism, ObservationSet, SerialHistory, SpecIndex};
+use crate::spec::{Nondeterminism, ObservationSet, SerialHistory, SpecIndex, SpecTables};
 use crate::target::TestTarget;
-use crate::witness::{find_witness, WitnessQuery};
+use crate::witness::{find_witness, has_witness, WitnessQuery};
 
 /// An alternative witness backend for phase 2: instead of searching the
 /// pre-enumerated observation set ([`find_witness`]), a monitor decides
@@ -572,10 +573,13 @@ pub fn synthesize_spec<T: TestTarget>(
 /// Returns the reduced history and the removed ops as `(thread, position
 /// within thread)` pairs — which identify the matrix cells to drop from
 /// the sub-test whose specification the reduced history is checked
-/// against.
-fn reduce_spurious(history: &History, spurious: &[String]) -> (History, Vec<(usize, usize)>) {
+/// against. When nothing is removed the history is borrowed, not copied.
+fn reduce_spurious<'h>(
+    history: &'h History,
+    spurious: &[String],
+) -> (Cow<'h, History>, Vec<(usize, usize)>) {
     if spurious.is_empty() {
-        return (history.clone(), Vec::new());
+        return (Cow::Borrowed(history), Vec::new());
     }
     let mut remove = std::collections::BTreeSet::new();
     for (i, op) in history.ops.iter().enumerate() {
@@ -587,7 +591,7 @@ fn reduce_spurious(history: &History, spurious: &[String]) -> (History, Vec<(usi
         }
     }
     if remove.is_empty() {
-        return (history.clone(), Vec::new());
+        return (Cow::Borrowed(history), Vec::new());
     }
     let mut removed_cells = Vec::new();
     for t in 0..history.thread_count {
@@ -597,7 +601,7 @@ fn reduce_spurious(history: &History, spurious: &[String]) -> (History, Vec<(usi
             }
         }
     }
-    (history.without_ops(&remove).0, removed_cells)
+    (Cow::Owned(history.without_ops(&remove).0), removed_cells)
 }
 
 /// Builds the sub-test obtained by dropping the given `(thread, position)`
@@ -717,9 +721,8 @@ fn check_against_spec_at<T: TestTarget>(
     let cache: HistoryCache<CachedVerdict> = HistoryCache::new(1);
     // Specifications of the sub-tests obtained by dropping spuriously-
     // failed operations, synthesized on demand (phase 1 is cheap, §5.4)
-    // and cached per removal set.
-    let mut sub_specs: std::collections::BTreeMap<Vec<(usize, usize)>, ObservationSet> =
-        Default::default();
+    // and compiled once per removal set.
+    let mut sub_specs = SubSpecs::new();
     let mut full = 0usize;
     let mut stuck = 0usize;
 
@@ -795,12 +798,14 @@ fn check_against_spec_at<T: TestTarget>(
                         &mut sub_specs,
                         &run.history,
                     );
-                    if let CachedVerdict::StuckNoWitness { reduced, pending } = &verdict {
+                    if let CachedVerdict::StuckNoWitness { pending } = verdict {
                         // Report the reduced history so the pending index
                         // refers to the checked history.
+                        let (reduced, _) =
+                            reduce_spurious(&run.history, &options.spurious_failures);
                         violations.push(Violation::StuckNoWitness {
-                            history: reduced.clone(),
-                            pending: *pending,
+                            history: reduced.into_owned(),
+                            pending,
                             decisions: run.decisions.clone(),
                         });
                         ok = false;
@@ -878,20 +883,38 @@ enum CachedVerdict {
     /// No witness for a complete history (Definition 1).
     NoWitness,
     /// Some pending operation of a stuck history has no stuck witness
-    /// (Definition 2). Stores the spurious-reduced history the pending
-    /// index refers to, so serial cache hits can report the violation
-    /// without redoing the reduction. The *pending index* is invariant
-    /// across the canonical class (canonicalization and spurious
-    /// reduction both preserve operation positions); the stored history
-    /// is whichever class member was checked first, so the parallel path
-    /// rebuilds the reported history from its local run instead.
-    StuckNoWitness { reduced: History, pending: OpIndex },
+    /// (Definition 2). The *pending index* refers to the spurious-reduced
+    /// history and is invariant across the canonical class
+    /// (canonicalization and spurious reduction both preserve operation
+    /// positions), so a reporter rebuilds the reduced history from its
+    /// own run. Holding no history keeps every cache entry small.
+    StuckNoWitness { pending: OpIndex },
 }
 
 impl CachedVerdict {
     fn is_violation(&self) -> bool {
         !matches!(self, CachedVerdict::Pass)
     }
+}
+
+/// Compiled specifications of sub-tests, keyed by the removed matrix
+/// cells (see [`reduce_spurious`]).
+type SubSpecs = BTreeMap<Vec<(usize, usize)>, SpecTables>;
+
+/// The compiled specification of the sub-test without the `removed`
+/// cells, synthesized and compiled on first use.
+fn sub_spec<'s, T: TestTarget>(
+    target: &T,
+    matrix: &TestMatrix,
+    sub_specs: &'s mut SubSpecs,
+    removed: Vec<(usize, usize)>,
+) -> &'s SpecTables {
+    sub_specs.entry(removed).or_insert_with_key(|cells| {
+        synthesize_spec(target, &reduced_matrix(matrix, cells))
+            .0
+            .index()
+            .into_tables()
+    })
 }
 
 /// Witness search for a complete history (serial path's `Complete` arm,
@@ -901,7 +924,7 @@ fn full_verdict<T: TestTarget>(
     matrix: &TestMatrix,
     index: &SpecIndex<'_>,
     options: &CheckOptions,
-    sub_specs: &mut BTreeMap<Vec<(usize, usize)>, ObservationSet>,
+    sub_specs: &mut SubSpecs,
     history: &History,
 ) -> CachedVerdict {
     let (reduced, removed) = reduce_spurious(history, &options.spurious_failures);
@@ -914,10 +937,7 @@ fn full_verdict<T: TestTarget>(
         if removed.is_empty() {
             find_witness(index, &q).is_some()
         } else {
-            let sub = sub_specs.entry(removed).or_insert_with_key(|cells| {
-                synthesize_spec(target, &reduced_matrix(matrix, cells)).0
-            });
-            find_witness(&sub.index(), &q).is_some()
+            has_witness(sub_spec(target, matrix, sub_specs, removed), &q)
         }
     };
     if found {
@@ -934,41 +954,27 @@ fn stuck_verdict<T: TestTarget>(
     matrix: &TestMatrix,
     index: &SpecIndex<'_>,
     options: &CheckOptions,
-    sub_specs: &mut BTreeMap<Vec<(usize, usize)>, ObservationSet>,
+    sub_specs: &mut SubSpecs,
     history: &History,
 ) -> CachedVerdict {
     let (reduced, removed) = reduce_spurious(history, &options.spurious_failures);
     if let Some(monitor) = &options.witness_monitor {
         for e in reduced.pending_ops() {
             if !monitor.0.check_stuck(&reduced, e, &options.async_methods) {
-                return CachedVerdict::StuckNoWitness {
-                    reduced,
-                    pending: e,
-                };
+                return CachedVerdict::StuckNoWitness { pending: e };
             }
         }
         return CachedVerdict::Pass;
     }
-    let sub_spec: Option<&ObservationSet> =
-        if removed.is_empty() {
-            None
-        } else {
-            Some(sub_specs.entry(removed).or_insert_with_key(|cells| {
-                synthesize_spec(target, &reduced_matrix(matrix, cells)).0
-            }))
-        };
-    let sub_index = sub_spec.map(|s| s.index());
+    let sub = (!removed.is_empty()).then(|| sub_spec(target, matrix, sub_specs, removed));
     for e in reduced.pending_ops() {
         let q = WitnessQuery::for_stuck_relaxed(&reduced, e, &options.async_methods);
-        let missing = match &sub_index {
-            Some(idx) => find_witness(idx, &q).is_none(),
-            None => find_witness(index, &q).is_none(),
+        let found = match sub {
+            Some(tables) => has_witness(tables, &q),
+            None => find_witness(index, &q).is_some(),
         };
-        if missing {
-            return CachedVerdict::StuckNoWitness {
-                reduced,
-                pending: e,
-            };
+        if !found {
+            return CachedVerdict::StuckNoWitness { pending: e };
         }
     }
     CachedVerdict::Pass
@@ -1136,8 +1142,7 @@ fn check_against_spec_at_parallel<T: TestTarget>(
                     // Sub-test specifications are cheap to synthesize
                     // (phase 1, §5.4), so each worker keeps its own cache
                     // rather than sharing.
-                    let mut sub_specs: BTreeMap<Vec<(usize, usize)>, ObservationSet> =
-                        BTreeMap::new();
+                    let mut sub_specs = SubSpecs::new();
                     let stats = explore_matrix_with_strategy(
                         target,
                         matrix,
@@ -1242,20 +1247,17 @@ fn check_against_spec_at_parallel<T: TestTarget>(
                                                 history: run.history.clone(),
                                                 decisions: run.decisions.clone(),
                                             },
-                                            CachedVerdict::StuckNoWitness { pending, .. } => {
-                                                // The cached reduced history
-                                                // belongs to whichever class
-                                                // member raced in first;
-                                                // rebuild from the local run
-                                                // so the surviving lex-least
-                                                // claim reports exactly what
-                                                // the serial checker would.
+                                            CachedVerdict::StuckNoWitness { pending } => {
+                                                // Rebuilt from the local run so
+                                                // the surviving lex-least claim
+                                                // reports exactly what the
+                                                // serial checker would.
                                                 let (reduced, _) = reduce_spurious(
                                                     &run.history,
                                                     &options.spurious_failures,
                                                 );
                                                 Violation::StuckNoWitness {
-                                                    history: reduced,
+                                                    history: reduced.into_owned(),
                                                     pending,
                                                     decisions: run.decisions.clone(),
                                                 }

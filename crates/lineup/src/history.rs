@@ -6,12 +6,12 @@
 
 use crate::target::Invocation;
 use crate::value::Value;
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Index of an operation within a [`History`].
 pub type OpIndex = usize;
@@ -305,14 +305,78 @@ impl History {
 /// cache degenerates to the raw duplicate-history cache the stress bin
 /// originally grew.
 ///
+/// Each `get` and `insert_if_absent` hashes the history once, with a keyed
+/// [`RandomState`] so that hostile server streams cannot aim histories at
+/// one bucket. That one hash picks the shard and keys the shard's map;
+/// full-history equality still decides a hit.
+///
 /// Sharded by history hash so parallel workers rarely contend on one
 /// mutex; single-threaded consumers simply use one shard. Hits (a `get`
 /// that found an entry) are counted across all shards for the
 /// `phase2_cache_hits` statistics.
 #[derive(Debug)]
-pub struct HistoryCache<V> {
-    shards: Vec<Mutex<HashMap<History, V>>>,
+pub struct HistoryCache<V, S = RandomState> {
+    shards: Vec<Mutex<Shard<V>>>,
+    hasher: S,
     hits: AtomicU64,
+}
+
+/// One shard's map from keyed hash to the histories with that hash.
+type Shard<V> = HashMap<u64, Slot<V>, BuildHasherDefault<HashIsKey>>;
+
+/// The cached histories of one hash value. Two histories share a 64-bit
+/// keyed hash only by accident, so a slot holds one entry inline and
+/// allocates a list only on such a collision.
+#[derive(Debug)]
+enum Slot<V> {
+    One(History, V),
+    Colliding(Vec<(History, V)>),
+}
+
+impl<V> Slot<V> {
+    fn get(&self, key: &History) -> Option<&V> {
+        match self {
+            Slot::One(h, v) => (h == key).then_some(v),
+            Slot::Colliding(entries) => entries.iter().find(|(h, _)| h == key).map(|(_, v)| v),
+        }
+    }
+
+    fn push(&mut self, key: History, verdict: V) {
+        let entries = match std::mem::replace(self, Slot::Colliding(Vec::new())) {
+            Slot::One(h, v) => vec![(h, v), (key, verdict)],
+            Slot::Colliding(mut entries) => {
+                entries.push((key, verdict));
+                entries
+            }
+        };
+        *self = Slot::Colliding(entries);
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Slot::One(..) => 1,
+            Slot::Colliding(entries) => entries.len(),
+        }
+    }
+}
+
+/// The hasher of a shard's map, whose keys are already hashes: it passes
+/// the `u64` key through.
+#[derive(Debug, Default)]
+struct HashIsKey(u64);
+
+impl Hasher for HashIsKey {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("shard maps hash only their u64 keys")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
 }
 
 impl<V: Clone> HistoryCache<V> {
@@ -322,29 +386,35 @@ impl<V: Clone> HistoryCache<V> {
 
     /// Creates a cache with the given number of shards (at least 1).
     pub fn new(shards: usize) -> Self {
+        Self::with_hasher(shards, RandomState::new())
+    }
+}
+
+impl<V: Clone, S: BuildHasher> HistoryCache<V, S> {
+    fn with_hasher(shards: usize, hasher: S) -> Self {
         HistoryCache {
             shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(HashMap::default()))
                 .collect(),
+            hasher,
             hits: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &History) -> &Mutex<HashMap<History, V>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
+    /// The history's hash and the locked shard it selects. The shard comes
+    /// from the hash's upper half; the shard's map buckets by the lower
+    /// bits and tags by the top seven, which the choice leaves varied.
+    fn locate(&self, key: &History) -> (u64, MutexGuard<'_, Shard<V>>) {
+        let hash = self.hasher.hash_one(key);
+        let shard = &self.shards[(hash >> 32) as usize % self.shards.len()];
+        (hash, shard.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Looks up a verdict by (canonical) history key, counting a hit when
     /// one is found.
     pub fn get(&self, key: &History) -> Option<V> {
-        let found = self
-            .shard(key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key)
-            .cloned();
+        let (hash, shard) = self.locate(key);
+        let found = shard.get(&hash).and_then(|slot| slot.get(key)).cloned();
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -356,13 +426,19 @@ impl<V: Clone> HistoryCache<V> {
     /// The first-wins discipline keeps concurrent workers agreeing on one
     /// verdict per class even if they raced to compute it.
     pub fn insert_if_absent(&self, key: &History, verdict: V) -> (V, bool) {
-        let mut shard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
-        match shard.get(key) {
-            Some(existing) => (existing.clone(), false),
-            None => {
-                shard.insert(key.clone(), verdict.clone());
+        let (hash, mut shard) = self.locate(key);
+        match shard.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(Slot::One(key.clone(), verdict.clone()));
                 (verdict, true)
             }
+            Entry::Occupied(mut slot) => match slot.get().get(key) {
+                Some(existing) => (existing.clone(), false),
+                None => {
+                    slot.get_mut().push(key.clone(), verdict.clone());
+                    (verdict, true)
+                }
+            },
         }
     }
 
@@ -375,7 +451,10 @@ impl<V: Clone> HistoryCache<V> {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
+            .map(|s| {
+                let shard = s.lock().unwrap_or_else(|e| e.into_inner());
+                shard.values().map(Slot::len).sum::<usize>()
+            })
             .sum()
     }
 
@@ -631,6 +710,72 @@ mod tests {
         assert_eq!(cache.get(&h1), Some(10));
         assert_eq!(cache.get(&h2), Some(20));
         assert_eq!(cache.len(), 2);
+    }
+
+    /// Histories `x() = v` for `v` in `values`, on one thread.
+    fn histories(values: std::ops::Range<i64>) -> Vec<History> {
+        values
+            .map(|v| {
+                let mut h = History::new(1);
+                let a = h.push_call(0, inv("x"));
+                h.push_return(a, Value::Int(v));
+                h
+            })
+            .collect()
+    }
+
+    #[test]
+    fn history_cache_shard_count_changes_nothing() {
+        let one: HistoryCache<i64> = HistoryCache::new(1);
+        let many: HistoryCache<i64> = HistoryCache::new(HistoryCache::<i64>::DEFAULT_SHARDS);
+        let hs = histories(0..64);
+        for cache in [&one, &many] {
+            for (v, h) in hs.iter().enumerate().step_by(2) {
+                cache.insert_if_absent(h, v as i64);
+            }
+            for (v, h) in hs.iter().enumerate() {
+                cache.insert_if_absent(h, -(v as i64));
+            }
+        }
+        for h in &hs {
+            assert_eq!(one.get(h), many.get(h));
+        }
+        assert_eq!(one.hits(), many.hits());
+        assert_eq!(one.hits(), 64);
+        assert_eq!(one.len(), many.len());
+        assert_eq!(one.len(), 64);
+    }
+
+    /// A hasher that sends every history to one hash value.
+    #[derive(Default)]
+    struct Collide;
+
+    impl Hasher for Collide {
+        fn finish(&self) -> u64 {
+            0x5eed
+        }
+
+        fn write(&mut self, _: &[u8]) {}
+    }
+
+    #[test]
+    fn history_cache_keeps_colliding_histories_apart() {
+        for shards in [1, 4] {
+            let cache: HistoryCache<i64, BuildHasherDefault<Collide>> =
+                HistoryCache::with_hasher(shards, BuildHasherDefault::default());
+            let hs = histories(0..3);
+            for (v, h) in hs.iter().enumerate() {
+                assert_eq!(cache.get(h), None);
+                assert_eq!(cache.insert_if_absent(h, v as i64), (v as i64, true));
+            }
+            for (v, h) in hs.iter().enumerate() {
+                assert_eq!(cache.insert_if_absent(h, 99), (v as i64, false));
+                assert_eq!(cache.get(h), Some(v as i64));
+            }
+            assert_eq!(cache.get(&histories(3..4)[0]), None);
+            assert_eq!(cache.hits(), 3);
+            assert_eq!(cache.len(), 3);
+        }
     }
 
     #[test]

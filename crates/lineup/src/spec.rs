@@ -250,12 +250,25 @@ impl ObservationSet {
     }
 
     /// Builds the grouped index used for witness search in phase 2.
+    ///
+    /// Each group is compiled once here into a table of its members'
+    /// serial positions, so a witness query scans integers instead of
+    /// re-deriving every candidate's per-thread sequences.
     pub fn index(&self) -> SpecIndex<'_> {
-        let mut groups: BTreeMap<ThreadKey, Vec<&SerialHistory>> = BTreeMap::new();
+        let mut grouped: BTreeMap<ThreadKey, Vec<&SerialHistory>> = BTreeMap::new();
         for h in &self.histories {
-            groups.entry(h.thread_key()).or_default().push(h);
+            grouped.entry(h.thread_key()).or_default().push(h);
         }
-        SpecIndex { groups }
+        let mut members = Vec::with_capacity(self.histories.len());
+        let groups = grouped
+            .into_iter()
+            .map(|(key, group)| {
+                let table = GroupTable::compile(&key, members.len(), &group);
+                members.extend(group);
+                (key, table)
+            })
+            .collect();
+        SpecIndex { groups, members }
     }
 }
 
@@ -279,13 +292,23 @@ impl Extend<SerialHistory> for ObservationSet {
 /// search one group").
 #[derive(Debug, Clone)]
 pub struct SpecIndex<'a> {
-    groups: BTreeMap<ThreadKey, Vec<&'a SerialHistory>>,
+    groups: SpecTables,
+    /// Every member, group after group in canonical order: a group's
+    /// members are the contiguous run its [`GroupTable`] names.
+    members: Vec<&'a SerialHistory>,
 }
+
+/// The compiled groups of an observation set, without references into
+/// it: enough to decide whether a witness exists
+/// ([`has_witness`](crate::witness::has_witness)), but not to return one.
+pub(crate) type SpecTables = BTreeMap<ThreadKey, GroupTable>;
 
 impl<'a> SpecIndex<'a> {
     /// The candidate serial histories sharing the given per-thread key.
     pub fn candidates(&self, key: &ThreadKey) -> &[&'a SerialHistory] {
-        self.groups.get(key).map(Vec::as_slice).unwrap_or(&[])
+        self.groups
+            .get(key)
+            .map_or(&[], |table| self.members_of(table))
     }
 
     /// Number of groups (the `<observation>` sections of Fig. 7).
@@ -295,7 +318,91 @@ impl<'a> SpecIndex<'a> {
 
     /// Iterates over groups in canonical order.
     pub fn iter(&self) -> impl Iterator<Item = (&ThreadKey, &[&'a SerialHistory])> {
-        self.groups.iter().map(|(k, v)| (k, v.as_slice()))
+        self.groups
+            .iter()
+            .map(|(key, table)| (key, self.members_of(table)))
+    }
+
+    /// The compiled table of the group with the given key.
+    pub(crate) fn table(&self, key: &ThreadKey) -> Option<&GroupTable> {
+        self.groups.get(key)
+    }
+
+    /// The members of a group, in the row order of its table.
+    pub(crate) fn members_of(&self, table: &GroupTable) -> &[&'a SerialHistory] {
+        &self.members[table.first..table.first + table.rows]
+    }
+
+    /// Drops the member references, keeping the compiled tables: a cache
+    /// can then outlive the observation set the index was built from.
+    pub(crate) fn into_tables(self) -> SpecTables {
+        self.groups
+    }
+}
+
+/// One group compiled for witness search: for every member, the serial
+/// position of each of its operations.
+///
+/// All members of a group share one per-thread key, so they share one
+/// numbering of operations: thread-major ordinals, where thread `t`'s
+/// `k`-th operation is ordinal `base[t] + k`. Row `m` of the flat
+/// `positions` table holds member `m`'s serial position of each ordinal.
+#[derive(Debug, Clone)]
+pub(crate) struct GroupTable {
+    /// Index of the group's first member in [`SpecIndex`]'s member list.
+    first: usize,
+    /// Number of members (table rows).
+    rows: usize,
+    /// Operations per member (row length); zero when every thread
+    /// sequence is empty.
+    width: usize,
+    /// `base[t]`: the ordinal of thread `t`'s first operation.
+    base: Vec<usize>,
+    /// `rows × width` serial positions, row-major.
+    positions: Vec<u32>,
+}
+
+impl GroupTable {
+    fn compile(key: &ThreadKey, first: usize, members: &[&SerialHistory]) -> Self {
+        let mut base = Vec::with_capacity(key.len());
+        let mut width = 0;
+        for ops in key {
+            base.push(width);
+            width += ops.len();
+        }
+        let mut positions = vec![0u32; members.len() * width];
+        let mut next = vec![0usize; key.len()];
+        for (m, h) in members.iter().enumerate() {
+            let row = &mut positions[m * width..(m + 1) * width];
+            next.fill(0);
+            for (serial_pos, op) in h.ops.iter().enumerate() {
+                row[base[op.thread] + next[op.thread]] =
+                    u32::try_from(serial_pos).expect("serial history longer than u32::MAX");
+                next[op.thread] += 1;
+            }
+        }
+        GroupTable {
+            first,
+            rows: members.len(),
+            width,
+            base,
+            positions,
+        }
+    }
+
+    /// Number of members (table rows).
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The thread-major ordinal of thread `thread`'s `k`-th operation.
+    pub(crate) fn ordinal(&self, thread: usize, k: usize) -> usize {
+        self.base[thread] + k
+    }
+
+    /// Member `m`'s serial position of each ordinal.
+    pub(crate) fn row(&self, m: usize) -> &[u32] {
+        &self.positions[m * self.width..(m + 1) * self.width]
     }
 }
 

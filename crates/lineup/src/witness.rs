@@ -8,7 +8,8 @@
 //! for `H[e]` among the stuck serial histories (`B`) — Definitions 1 and 2.
 
 use crate::history::{History, OpIndex};
-use crate::spec::{Outcome, SerialHistory, SpecIndex, ThreadKey};
+use crate::spec::{GroupTable, Outcome, SerialHistory, SpecIndex, SpecTables, ThreadKey};
+use std::collections::BTreeSet;
 
 /// An operation identified by `(thread, index within thread)` — the
 /// identification that survives reordering into a serial witness.
@@ -21,9 +22,9 @@ pub struct WitnessQuery {
     /// Per-thread `(invocation, outcome)` sequences — the grouping key.
     pub key: ThreadKey,
     /// Pairs `(a, b)` with `a <H b`: every witness must order `a` before
-    /// `b`. Deduplicated and transitively reduced — pairs implied by the
-    /// composition of two others are omitted, which shrinks the per-
-    /// candidate work of [`is_witness`] without changing its verdict.
+    /// `b`. Sorted, deduplicated and transitively reduced — pairs implied
+    /// by the composition of two others are omitted, which shrinks the
+    /// per-candidate work of witness search without changing its verdict.
     pub precedence: Vec<(ThreadPos, ThreadPos)>,
 }
 
@@ -92,7 +93,6 @@ impl WitnessQuery {
         // subhistory order by well-formedness).
         let mut key: ThreadKey = vec![Vec::new(); h.thread_count];
         let mut pos_of = vec![(0usize, 0usize); h.ops.len()];
-        let mut by_thread: Vec<Vec<OpIndex>> = vec![Vec::new(); h.thread_count];
         let mut sorted = included.to_vec();
         sorted.sort_by_key(|&i| h.ops[i].call_pos);
         for &i in &sorted {
@@ -103,73 +103,167 @@ impl WitnessQuery {
             };
             pos_of[i] = (op.thread, key[op.thread].len());
             key[op.thread].push((op.invocation.clone(), outcome));
-            by_thread[op.thread].push(i);
         }
-        let mut edges: std::collections::BTreeSet<(ThreadPos, ThreadPos)> =
-            std::collections::BTreeSet::new();
-        for &a in &sorted {
-            // Asynchronous operations do not constrain later operations:
-            // their effect may linearize past their return.
-            if async_methods.contains(&h.ops[a].invocation.name) {
-                continue;
-            }
-            for &b in &sorted {
-                if a != b && h.precedes(a, b) {
-                    edges.insert((pos_of[a], pos_of[b]));
-                }
-            }
-        }
-        // Transitive reduction: an edge (a, c) implied by (a, b) and
-        // (b, c) is dropped. Any serial order satisfying the reduced set
-        // satisfies the dropped edges too (order is transitive), so
-        // witness verdicts are unchanged while `is_witness` checks fewer
-        // pairs — `<H` is dense for mostly-serial histories, with up to
-        // quadratically many edges for a linear reduction.
-        let mids: Vec<ThreadPos> = edges
-            .iter()
-            .flat_map(|&(x, y)| [x, y])
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let precedence = edges
-            .iter()
-            .copied()
-            .filter(|&(a, c)| {
-                !mids.iter().any(|&b| {
-                    b != a && b != c && edges.contains(&(a, b)) && edges.contains(&(b, c))
-                })
-            })
-            .collect();
+        // Asynchronous operations do not constrain later operations: their
+        // effect may linearize past their return.
+        let constrains = |a: OpIndex| !async_methods.contains(&h.ops[a].invocation.name);
+        let precedence = if sorted.len() <= 64 {
+            reduced_precedence_bits(h, &sorted, &pos_of, constrains)
+        } else {
+            reduced_precedence_set(h, &sorted, &pos_of, constrains)
+        };
         WitnessQuery { key, precedence }
     }
 }
 
+// Both reductions below compute the same thing: the pairs of `<H` over the
+// included operations (left-hand side restricted by `constrains`), minus
+// every pair `(a, c)` implied by two pairs `(a, b)` and `(b, c)`, sorted.
+// Any serial order satisfying the reduced set satisfies the dropped pairs
+// too (order is transitive), so witness verdicts are unchanged while each
+// candidate is checked against fewer pairs: `<H` is dense for mostly-serial
+// histories, with up to quadratically many pairs for a linear reduction.
+
+/// The reduction with one `u64` successor bitmask per operation, indexed
+/// by thread-major ordinal (the order of [`ThreadPos`]), for at most 64
+/// included operations.
+fn reduced_precedence_bits(
+    h: &History,
+    sorted: &[OpIndex],
+    pos_of: &[ThreadPos],
+    constrains: impl Fn(OpIndex) -> bool,
+) -> Vec<(ThreadPos, ThreadPos)> {
+    let mut at: Vec<ThreadPos> = sorted.iter().map(|&i| pos_of[i]).collect();
+    at.sort_unstable();
+    let ordinal: Vec<usize> = sorted
+        .iter()
+        .map(|&i| at.binary_search(&pos_of[i]).expect("included op"))
+        .collect();
+    let mut succ = vec![0u64; at.len()];
+    for (x, &a) in sorted.iter().enumerate() {
+        if constrains(a) {
+            for (y, &b) in sorted.iter().enumerate() {
+                if h.precedes(a, b) {
+                    succ[ordinal[x]] |= 1 << ordinal[y];
+                }
+            }
+        }
+    }
+    let mut precedence = Vec::new();
+    for (a, &direct) in succ.iter().enumerate() {
+        let implied = ones(direct).fold(0u64, |acc, b| acc | succ[b]);
+        precedence.extend(ones(direct & !implied).map(|c| (at[a], at[c])));
+    }
+    precedence
+}
+
+/// The indices of the set bits of `mask`, ascending.
+fn ones(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
+/// The reduction over an ordered set of pairs, for more than 64 included
+/// operations.
+fn reduced_precedence_set(
+    h: &History,
+    sorted: &[OpIndex],
+    pos_of: &[ThreadPos],
+    constrains: impl Fn(OpIndex) -> bool,
+) -> Vec<(ThreadPos, ThreadPos)> {
+    let mut edges: BTreeSet<(ThreadPos, ThreadPos)> = BTreeSet::new();
+    for &a in sorted.iter().filter(|&&a| constrains(a)) {
+        for &b in sorted {
+            if a != b && h.precedes(a, b) {
+                edges.insert((pos_of[a], pos_of[b]));
+            }
+        }
+    }
+    let mids: BTreeSet<ThreadPos> = edges.iter().flat_map(|&(x, y)| [x, y]).collect();
+    edges
+        .iter()
+        .copied()
+        .filter(|&(a, c)| {
+            !mids
+                .iter()
+                .any(|&b| b != a && b != c && edges.contains(&(a, b)) && edges.contains(&(b, c)))
+        })
+        .collect()
+}
+
 /// Whether the serial history `s` is a witness for the query: it must have
 /// the same per-thread sequences and order all precedence pairs correctly.
+///
+/// The reference oracle for [`find_witness`], which decides the same
+/// question for a whole group of candidates at once.
 pub fn is_witness(s: &SerialHistory, q: &WitnessQuery) -> bool {
-    if s.thread_key() != q.key {
+    if s.thread_count != q.key.len() {
         return false;
     }
-    // Position of each (thread, k) in the serial order.
-    let nthreads = q.key.len();
-    let mut pos: Vec<Vec<usize>> = vec![Vec::new(); nthreads];
-    for (serial_pos, op) in s.ops.iter().enumerate() {
-        pos[op.thread].push(serial_pos);
+    // Serial position of each operation, by thread-major ordinal: thread
+    // `t`'s `k`-th operation is ordinal `base[t] + k`.
+    let mut base = Vec::with_capacity(q.key.len());
+    let mut width = 0;
+    for ops in &q.key {
+        base.push(width);
+        width += ops.len();
     }
+    if s.ops.len() != width {
+        return false;
+    }
+    let mut next = vec![0usize; q.key.len()];
+    let mut pos = vec![0usize; width];
+    for (serial_pos, op) in s.ops.iter().enumerate() {
+        let k = next[op.thread];
+        match q.key[op.thread].get(k) {
+            Some((invocation, outcome))
+                if *invocation == op.invocation && *outcome == op.outcome => {}
+            _ => return false,
+        }
+        pos[base[op.thread] + k] = serial_pos;
+        next[op.thread] += 1;
+    }
+    // Every thread matched a prefix of its sequence and the lengths sum
+    // up, so every thread matched its whole sequence.
     q.precedence
         .iter()
-        .all(|&((ta, ka), (tb, kb))| pos[ta][ka] < pos[tb][kb])
+        .all(|&((ta, ka), (tb, kb))| pos[base[ta] + ka] < pos[base[tb] + kb])
 }
 
 /// Searches the indexed observation set for a witness; returns the first
 /// one found. Only the group with the query's per-thread key is scanned
 /// (paper §4.2).
 pub fn find_witness<'a>(index: &SpecIndex<'a>, q: &WitnessQuery) -> Option<&'a SerialHistory> {
-    index
-        .candidates(&q.key)
+    let table = index.table(&q.key)?;
+    first_witness(table, q).map(|m| index.members_of(table)[m])
+}
+
+/// Whether the compiled observation set has a witness for the query: the
+/// yes/no form of [`find_witness`] for callers that keep only the tables.
+pub(crate) fn has_witness(tables: &SpecTables, q: &WitnessQuery) -> bool {
+    tables
+        .get(&q.key)
+        .is_some_and(|table| first_witness(table, q).is_some())
+}
+
+/// The row of the first group member that orders every precedence pair
+/// of the query. The group already guarantees the per-thread sequences,
+/// so each candidate costs only one integer comparison per pair.
+fn first_witness(table: &GroupTable, q: &WitnessQuery) -> Option<usize> {
+    let pairs: Vec<(usize, usize)> = q
+        .precedence
         .iter()
-        .copied()
-        .find(|s| is_witness(s, q))
+        .map(|&((ta, ka), (tb, kb))| (table.ordinal(ta, ka), table.ordinal(tb, kb)))
+        .collect();
+    (0..table.rows()).find(|&m| {
+        let row = table.row(m);
+        pairs.iter().all(|&(a, b)| row[a] < row[b])
+    })
 }
 
 #[cfg(test)]
