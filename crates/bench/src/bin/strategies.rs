@@ -71,7 +71,7 @@ struct Verdicts {
 impl Verdicts {
     /// Whether a *complete* history is linearizable (Definition 1).
     fn full_ok(&mut self, history: &History) -> bool {
-        let key = self.groups.canonicalize(history);
+        let key = self.groups.canonical_key(history);
         match self.cache.get(&key) {
             Some(ok) => ok,
             None => {
@@ -85,7 +85,7 @@ impl Verdicts {
     /// Whether a *stuck* history is acceptable: every pending operation
     /// has a stuck witness (Definition 2).
     fn stuck_ok(&mut self, history: &History) -> bool {
-        let key = self.groups.canonicalize(history);
+        let key = self.groups.canonical_key(history);
         match self.cache.get(&key) {
             Some(ok) => ok,
             None => {

@@ -765,7 +765,7 @@ fn check_against_spec_at<T: TestTarget>(
                 // A history already seen (through another schedule, or as
                 // a symmetric renaming) was already checked — and
                 // reported, if it was a violation.
-                let key = groups.canonicalize(&run.history);
+                let key = groups.canonical_key(&run.history);
                 if cache.get(&key).is_none() {
                     full = full.saturating_add(1);
                     let verdict = full_verdict(
@@ -787,7 +787,7 @@ fn check_against_spec_at<T: TestTarget>(
                 }
             }
             RunOutcome::Deadlock | RunOutcome::Livelock | RunOutcome::StuckSerial => {
-                let key = groups.canonicalize(&run.history);
+                let key = groups.canonical_key(&run.history);
                 if cache.get(&key).is_none() {
                     stuck = stuck.saturating_add(1);
                     let verdict = stuck_verdict(
@@ -1200,7 +1200,7 @@ fn check_against_spec_at_parallel<T: TestTarget>(
                                 | RunOutcome::Deadlock
                                 | RunOutcome::Livelock
                                 | RunOutcome::StuckSerial => {
-                                    let key = groups.canonicalize(&run.history);
+                                    let key = groups.canonical_key(&run.history);
                                     let verdict = match cache.get(&key) {
                                         Some(v) => v,
                                         None => {
@@ -1266,7 +1266,7 @@ fn check_against_spec_at_parallel<T: TestTarget>(
                                         };
                                         claims.lock().unwrap().push(Claim {
                                             decisions: run.decisions.clone(),
-                                            key: Some(key),
+                                            key: Some(key.into_owned()),
                                             violation,
                                         });
                                     }

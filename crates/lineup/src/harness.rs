@@ -25,9 +25,11 @@ struct Recorder {
 }
 
 impl Recorder {
-    fn new(thread_count: usize) -> Self {
+    /// A recorder whose history has room for `ops` operations, so a run
+    /// records without growing it.
+    fn new(thread_count: usize, ops: usize) -> Self {
         Recorder {
-            history: std::sync::Mutex::new(History::new(thread_count)),
+            history: std::sync::Mutex::new(History::with_capacity(thread_count, ops)),
         }
     }
 
@@ -166,9 +168,12 @@ fn explore_matrix_impl<T: TestTarget>(
     strategy: Option<Box<dyn Strategy + Send>>,
     mut visit: impl FnMut(MatrixRun) -> ControlFlow<()>,
 ) -> ExploreStats {
-    let columns = matrix.columns.clone();
-    let finals = matrix.finally.clone();
+    // Built once per exploration; each run's threads share them.
+    let columns: Vec<Arc<[Invocation]>> =
+        matrix.columns.iter().map(|c| c.as_slice().into()).collect();
+    let finals: Arc<[Invocation]> = matrix.finally.as_slice().into();
     let thread_count = columns.len() + usize::from(!finals.is_empty());
+    let recorded_ops = columns.iter().map(|c| c.len()).sum::<usize>() + finals.len();
     let slot: Rc<RefCell<Option<Arc<Recorder>>>> = Rc::new(RefCell::new(None));
     let slot_setup = Rc::clone(&slot);
 
@@ -180,7 +185,7 @@ fn explore_matrix_impl<T: TestTarget>(
             // operations must not block.
             let _ = instance.invoke(inv);
         }
-        let recorder = Arc::new(Recorder::new(thread_count));
+        let recorder = Arc::new(Recorder::new(thread_count, recorded_ops));
         *slot_setup.borrow_mut() = Some(Arc::clone(&recorder));
         let gate = Arc::new(Gate::new(columns.len()));
 
@@ -188,9 +193,9 @@ fn explore_matrix_impl<T: TestTarget>(
             let instance = Arc::clone(&instance);
             let recorder = Arc::clone(&recorder);
             let gate = Arc::clone(&gate);
-            let column = column.clone();
+            let column = Arc::clone(column);
             ex.spawn(move || {
-                for (i, inv) in column.into_iter().enumerate() {
+                for (i, inv) in column.iter().enumerate() {
                     // Boundaries separate operations (thread start acts
                     // as the initial boundary): each scheduling decision
                     // in serial mode then corresponds exactly to "whose
@@ -201,7 +206,7 @@ fn explore_matrix_impl<T: TestTarget>(
                         op_boundary();
                     }
                     let op = recorder.record_call(t, inv.clone());
-                    let response = instance.invoke(&inv);
+                    let response = instance.invoke(inv);
                     recorder.record_return(op, response);
                 }
                 gate.arrive();
@@ -211,16 +216,16 @@ fn explore_matrix_impl<T: TestTarget>(
             let t = columns.len();
             let instance = Arc::clone(&instance);
             let recorder = Arc::clone(&recorder);
-            let finals = finals.clone();
+            let finals = Arc::clone(&finals);
             let gate = Arc::clone(&gate);
             ex.spawn(move || {
                 gate.wait();
-                for (i, inv) in finals.into_iter().enumerate() {
+                for (i, inv) in finals.iter().enumerate() {
                     if i > 0 {
                         op_boundary();
                     }
                     let op = recorder.record_call(t, inv.clone());
-                    let response = instance.invoke(&inv);
+                    let response = instance.invoke(inv);
                     recorder.record_return(op, response);
                 }
             });

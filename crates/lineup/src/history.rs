@@ -75,6 +75,16 @@ impl History {
         }
     }
 
+    /// An empty history with room for `ops` operations and their events.
+    pub(crate) fn with_capacity(thread_count: usize, ops: usize) -> Self {
+        History {
+            thread_count,
+            ops: Vec::with_capacity(ops),
+            events: Vec::with_capacity(2 * ops),
+            stuck: false,
+        }
+    }
+
     /// Appends a call event, returning the new operation's index.
     pub fn push_call(&mut self, thread: usize, invocation: Invocation) -> OpIndex {
         let idx = self.ops.len();

@@ -6,6 +6,7 @@
 use crate::history::{Event, History};
 use crate::target::{Invocation, SymmetryPolicy};
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -229,8 +230,16 @@ impl SymmetryGroups {
     /// order); it does real work on histories from preemption-bounded or
     /// sampled explorations, where pruning is disengaged.
     pub fn canonicalize(&self, h: &History) -> History {
+        self.canonical_key(h).into_owned()
+    }
+
+    /// [`SymmetryGroups::canonicalize`] without the copy when `h` is
+    /// already canonical (no groups, or the identity permutation): the
+    /// form phase 2 looks verdicts up with, cloning only on a cache
+    /// insert.
+    pub fn canonical_key<'h>(&self, h: &'h History) -> Cow<'h, History> {
         if self.groups.is_empty() {
-            return h.clone();
+            return Cow::Borrowed(h);
         }
         // Thread permutation: per group, the members in order of first
         // appearance (never-appearing members last, in index order) are
@@ -269,7 +278,7 @@ impl SymmetryGroups {
             }
         }
         if perm.iter().enumerate().all(|(i, &p)| i == p) {
-            return h.clone(); // already canonical; skip the rebuild
+            return Cow::Borrowed(h); // already canonical; skip the rebuild
         }
         let mut out = History::new(h.thread_count);
         out.stuck = h.stuck;
@@ -295,7 +304,7 @@ impl SymmetryGroups {
                 }
             }
         }
-        out
+        Cow::Owned(out)
     }
 }
 

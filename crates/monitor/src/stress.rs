@@ -293,7 +293,7 @@ where
         }
 
         // Check each distinct (canonical) history once.
-        let key = groups.canonicalize(&history);
+        let key = groups.canonical_key(&history);
         let known = verdicts.get(&key).is_some();
         if known {
             report.history_cache_hits += 1;

@@ -2204,10 +2204,13 @@ mod tests {
     #[test]
     fn panicking_worker_poisons_instead_of_deadlocking() {
         let pool = Arc::new(StealPool::new(2));
+        // The crasher holds the root before the peer starts: a peer that
+        // claimed it first would leave the crasher parked for good.
+        let root = pool.claim(0).expect("root task");
         std::thread::scope(|scope| {
             let crasher = scope.spawn(|| {
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    let _task = pool.claim(0).expect("root task");
+                    let _task = root;
                     panic!("worker crashed mid-steal");
                 }));
                 if result.is_err() {

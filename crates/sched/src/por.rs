@@ -31,8 +31,6 @@
 //! sets on timeout, transitions that append to the Line-Up history — the
 //! declaration is conservative, trading pruning power for soundness.
 
-use std::collections::HashMap;
-
 use crate::events::AccessKind;
 use crate::ids::ObjId;
 
@@ -48,8 +46,9 @@ pub(crate) const MARK_KEY: u32 = u32::MAX;
 
 /// A vector clock over the (dense) thread ids of one execution.
 ///
-/// Used by the DPOR happens-before tracking here and by the race/
-/// serializability checkers in `lineup-checkers`.
+/// Used by the race/serializability checkers in `lineup-checkers`. The
+/// DPOR bookkeeping here keeps its clocks as rows of flat arrays instead
+/// (see `PorRun`); this type serves it only as the test reference.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VectorClock(Vec<u64>);
 
@@ -188,14 +187,19 @@ impl Footprint {
 
 /// The last recorded access of one kind to one object: who did it, at
 /// which schedule-tree node they were chosen, and their clock after it.
-#[derive(Debug, Clone)]
+/// The clock lives in the run's snapshot arena ([`PorRun::snaps`]); every
+/// record of one transition shares its snapshot.
+#[derive(Debug, Clone, Copy)]
 struct Rec {
     thread: usize,
     /// The strategy-tree node at which `thread` was chosen for the
     /// transition performing this access; `None` when the transition was
     /// forced (singleton candidate) or chosen inside a replayed prefix.
     node: Option<usize>,
-    clock: VectorClock,
+    /// `thread`'s own component of the snapshot: the epoch of this access.
+    epoch: u64,
+    /// Index of the transition's clock snapshot in the arena.
+    snap: usize,
 }
 
 #[derive(Debug, Default)]
@@ -205,22 +209,46 @@ struct ObjRecords {
     reads: Vec<Rec>,
 }
 
+impl ObjRecords {
+    /// Forgets the records, keeping the read list's allocation.
+    fn clear(&mut self) {
+        self.last_write = None;
+        self.reads.clear();
+    }
+}
+
 /// A backtrack demand produced while finalizing a transition: thread
 /// `thread` must also be tried at strategy-tree node `node`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BacktrackDemand {
     pub node: usize,
     pub thread: usize,
 }
 
 /// Per-run partial-order-reduction state.
+///
+/// Every buffer is kept across the runs of an exploration, so after the
+/// first few runs a schedule point allocates nothing: clocks are rows of
+/// one flat array, transition clocks are snapshots in a per-run arena that
+/// records point into by index, and object records sit in a table indexed
+/// by the dense per-run object id.
 #[derive(Debug, Default)]
 pub(crate) struct PorRun {
     /// Sleep set: bitmask of threads whose exploration from the current
     /// state is redundant.
     pub sleep: u64,
-    /// Per-thread vector clocks (indexed by thread id).
-    clocks: Vec<VectorClock>,
-    objects: HashMap<u32, ObjRecords>,
+    /// Number of threads of the current run: the stride of `clocks` and
+    /// `snaps`.
+    threads: usize,
+    /// Per-thread vector clocks, row `t` at `t * threads`.
+    clocks: Vec<u64>,
+    /// Clock snapshots of this run's transitions, one row each; a [`Rec`]
+    /// names its row by index. Cleared, not freed, by [`PorRun::reset`].
+    snaps: Vec<u64>,
+    /// Records per model object, indexed by its dense per-run id.
+    objects: Vec<ObjRecords>,
+    /// Records of the history pseudo-object [`MARK_KEY`].
+    marks: ObjRecords,
     last_wildcard: Option<Rec>,
     /// The strategy-tree node at which the current transition's thread was
     /// chosen (`None` for forced transitions).
@@ -233,6 +261,10 @@ pub(crate) struct PorRun {
     /// shipped with stolen subtree prefixes so parallel workers inherit
     /// the sleep sets a serial DFS would have at the subtree root.
     pub slept_log: Vec<u64>,
+    /// The demands of the last finished transition (recycled buffer).
+    demands: Vec<BacktrackDemand>,
+    /// The clock of the transition being finished (recycled buffer).
+    clock: Vec<u64>,
 }
 
 fn bit(t: usize) -> u64 {
@@ -255,42 +287,66 @@ fn mutates(kind: AccessKind) -> bool {
         )
 }
 
+/// A dependent record met by the transition being finished: demand a
+/// backtrack where its thread was chosen (unless the record is already
+/// ordered before `clock`) and join its snapshot into `clock`.
+fn meet(rec: &Rec, p: usize, snaps: &[u64], clock: &mut [u64], demands: &mut Vec<BacktrackDemand>) {
+    if rec.thread != p && clock[rec.thread] < rec.epoch {
+        if let Some(node) = rec.node {
+            demands.push(BacktrackDemand { node, thread: p });
+        }
+    }
+    let n = clock.len();
+    join(clock, &snaps[rec.snap * n..(rec.snap + 1) * n]);
+}
+
+/// Pointwise maximum of two clocks of one run, into `clock`.
+fn join(clock: &mut [u64], other: &[u64]) {
+    for (c, &o) in clock.iter_mut().zip(other) {
+        if *c < o {
+            *c = o;
+        }
+    }
+}
+
 impl PorRun {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Clears the per-run reduction state for reuse, keeping the clock,
-    /// pending, and slept-log allocations (the thread count is constant
-    /// across the runs of one exploration).
+    /// Clears the per-run reduction state for reuse, keeping every
+    /// allocation. The thread count is known only once the run's setup
+    /// closure has spawned its threads, so the thread-sized state is
+    /// rebuilt separately by [`PorRun::init_threads`].
     pub fn reset(&mut self) {
         self.sleep = 0;
-        for clock in &mut self.clocks {
-            clock.clear();
+        self.snaps.clear();
+        for recs in &mut self.objects {
+            recs.clear();
         }
-        self.objects.clear();
+        self.marks.clear();
         self.last_wildcard = None;
         self.cur_node = None;
         self.foot.clear();
-        self.pending.fill(Pending::NoObj);
         self.slept_log.clear();
     }
 
-    fn clock_mut(&mut self, t: usize) -> &mut VectorClock {
-        if self.clocks.len() <= t {
-            self.clocks.resize(t + 1, VectorClock::new());
-        }
-        &mut self.clocks[t]
+    /// Sizes the clocks and pending declarations for a run of `n` threads,
+    /// all zero / [`Pending::NoObj`].
+    pub fn init_threads(&mut self, n: usize) {
+        self.threads = n;
+        self.clocks.clear();
+        self.clocks.resize(n * n, 0);
+        self.pending.clear();
+        self.pending.resize(n, Pending::NoObj);
     }
 
-    fn pending_of(&self, t: usize) -> Pending {
-        self.pending.get(t).copied().unwrap_or(Pending::NoObj)
+    /// Thread `t`'s vector clock (one component per thread).
+    fn clock(&self, t: usize) -> &[u64] {
+        &self.clocks[t * self.threads..(t + 1) * self.threads]
     }
 
     pub fn set_pending(&mut self, t: usize, p: Pending) {
-        if self.pending.len() <= t {
-            self.pending.resize(t + 1, Pending::NoObj);
-        }
         self.pending[t] = p;
     }
 
@@ -320,11 +376,33 @@ impl PorRun {
         candidates.iter().all(|&t| self.sleep & bit(t) != 0)
     }
 
+    /// The records of object key `o`: the dense table slot, or the history
+    /// pseudo-object's.
+    fn records(&self, o: u32) -> Option<&ObjRecords> {
+        if o == MARK_KEY {
+            Some(&self.marks)
+        } else {
+            self.objects.get(o as usize)
+        }
+    }
+
+    fn records_mut(&mut self, o: u32) -> &mut ObjRecords {
+        if o == MARK_KEY {
+            return &mut self.marks;
+        }
+        let i = o as usize;
+        if self.objects.len() <= i {
+            self.objects.resize_with(i + 1, ObjRecords::default);
+        }
+        &mut self.objects[i]
+    }
+
     /// Finalizes the footprint of the transition `p` just completed:
     /// computes DPOR backtrack demands against the happens-before
     /// relation, updates clocks and per-object records, wakes sleeping
     /// threads the transition conflicts with, and resets the footprint.
-    pub fn finish_transition(&mut self, p: usize) -> Vec<BacktrackDemand> {
+    /// The returned demands are valid until the next call.
+    pub fn finish_transition(&mut self, p: usize) -> &[BacktrackDemand] {
         let mut foot = std::mem::take(&mut self.foot);
         // Declared fallback: a primitive that logged nothing on its
         // declared object still touched it (failed lock acquires mutate
@@ -343,72 +421,70 @@ impl PorRun {
             foot.accesses.push((MARK_KEY, true));
         }
 
-        let mut demands = Vec::new();
-        let mut clock = self.clock_mut(p).clone();
-
-        // A recorded access is dependent on this transition: demand a
-        // backtrack where its thread was chosen (unless already ordered)
-        // and join its clock into ours.
-        let meet = |rec: &Rec, clock: &mut VectorClock, demands: &mut Vec<BacktrackDemand>| {
-            if rec.thread != p && !clock.covers(rec.thread, rec.clock.get(rec.thread)) {
-                if let Some(node) = rec.node {
-                    demands.push(BacktrackDemand { node, thread: p });
-                }
-            }
-            clock.join(&rec.clock);
-        };
+        let n = self.threads;
+        let mut demands = std::mem::take(&mut self.demands);
+        demands.clear();
+        let mut clock = std::mem::take(&mut self.clock);
+        clock.clear();
+        clock.extend_from_slice(self.clock(p));
 
         // Yield-containing (and undeclared-timeout) transitions are
-        // conservatively dependent on everything recorded so far.
+        // conservatively dependent on everything recorded so far. Records
+        // are met in object-id order, the history pseudo-object last.
         if let Some(rec) = &self.last_wildcard {
-            meet(rec, &mut clock, &mut demands);
+            meet(rec, p, &self.snaps, &mut clock, &mut demands);
         }
         if foot.wildcard {
-            for recs in self.objects.values() {
+            for recs in self.objects.iter().chain(std::iter::once(&self.marks)) {
                 if let Some(rec) = &recs.last_write {
-                    meet(rec, &mut clock, &mut demands);
+                    meet(rec, p, &self.snaps, &mut clock, &mut demands);
                 }
                 for rec in &recs.reads {
-                    meet(rec, &mut clock, &mut demands);
+                    meet(rec, p, &self.snaps, &mut clock, &mut demands);
                 }
             }
         }
         for &(o, w) in &foot.accesses {
-            if let Some(recs) = self.objects.get(&o) {
+            if let Some(recs) = self.records(o) {
                 if let Some(rec) = &recs.last_write {
-                    meet(rec, &mut clock, &mut demands);
+                    meet(rec, p, &self.snaps, &mut clock, &mut demands);
                 }
                 if w {
                     for rec in &recs.reads {
-                        meet(rec, &mut clock, &mut demands);
+                        meet(rec, p, &self.snaps, &mut clock, &mut demands);
                     }
                 }
             }
         }
 
-        clock.tick(p);
-        let rec = Rec {
-            thread: p,
-            node: self.cur_node,
-            clock: clock.clone(),
-        };
-        for &(o, w) in &foot.accesses {
-            let recs = self.objects.entry(o).or_default();
-            if w {
-                recs.reads.clear();
-                recs.last_write = Some(rec.clone());
-            } else {
-                recs.reads.retain(|r| r.thread != p);
-                recs.reads.push(rec.clone());
+        clock[p] += 1;
+        if !foot.accesses.is_empty() || foot.wildcard {
+            // One snapshot per recording transition, shared by its records.
+            let rec = Rec {
+                thread: p,
+                node: self.cur_node,
+                epoch: clock[p],
+                snap: self.snaps.len() / n,
+            };
+            self.snaps.extend_from_slice(&clock);
+            for &(o, w) in &foot.accesses {
+                let recs = self.records_mut(o);
+                if w {
+                    recs.reads.clear();
+                    recs.last_write = Some(rec);
+                } else {
+                    recs.reads.retain(|r| r.thread != p);
+                    recs.reads.push(rec);
+                }
+            }
+            if foot.wildcard {
+                self.last_wildcard = Some(rec);
             }
         }
-        if foot.wildcard {
-            self.last_wildcard = Some(rec);
-        }
-        *self.clock_mut(p) = clock.clone();
+        self.clocks[p * n..(p + 1) * n].copy_from_slice(&clock);
         // Waking a thread is an enabling happens-before edge.
         for &u in &foot.woke {
-            self.clock_mut(u).join(&clock);
+            join(&mut self.clocks[u * n..(u + 1) * n], &clock);
         }
 
         // Sleep wake-up: a sleeping thread whose pending transition
@@ -416,7 +492,9 @@ impl PorRun {
         let mut sleep = self.sleep;
         let mut t = 0;
         while sleep >> t != 0 {
-            if sleep & bit(t) != 0 && (foot.woke.contains(&t) || foot.conflicts(self.pending_of(t)))
+            if sleep & bit(t) != 0
+                && (foot.woke.contains(&t)
+                    || foot.conflicts(self.pending.get(t).copied().unwrap_or_default()))
             {
                 sleep &= !bit(t);
             }
@@ -429,7 +507,9 @@ impl PorRun {
         // point, so this keeps the hot path allocation-free.
         foot.clear();
         self.foot = foot;
-        demands
+        self.clock = clock;
+        self.demands = demands;
+        &self.demands
     }
 }
 
@@ -487,6 +567,7 @@ mod tests {
     #[test]
     fn writes_wake_sleeping_readers() {
         let mut por = PorRun::new();
+        por.init_threads(3);
         por.sleep = bit(1) | bit(2);
         por.set_pending(
             1,
@@ -519,6 +600,7 @@ mod tests {
     #[test]
     fn unordered_conflict_demands_backtrack() {
         let mut por = PorRun::new();
+        por.init_threads(2);
         // Thread 0 writes object 5 from node 4.
         por.cur_node = Some(4);
         por.foot.declared = Pending::Obj {
@@ -551,6 +633,7 @@ mod tests {
     #[test]
     fn wake_edge_orders_threads() {
         let mut por = PorRun::new();
+        por.init_threads(2);
         // Thread 0 writes object 9 and wakes thread 1.
         por.foot.declared = Pending::Obj {
             obj: 9,
@@ -566,5 +649,269 @@ mod tests {
         };
         por.foot.accesses.push((9, true));
         assert!(por.finish_transition(1).is_empty());
+    }
+
+    /// The DPOR bookkeeping as it was before the flat-clock arena: a
+    /// `HashMap` of object records, each record owning a cloned
+    /// [`VectorClock`]. Kept as the reference the arena version is
+    /// compared against. One deliberate difference: a wildcard transition
+    /// meets the object records in key order (the history pseudo-object
+    /// last) instead of hash order, because the demands it produces
+    /// depend on that order.
+    mod reference {
+        use std::collections::HashMap;
+
+        use super::super::{BacktrackDemand, Footprint, Pending, VectorClock, MARK_KEY};
+
+        #[derive(Debug, Clone)]
+        struct Rec {
+            thread: usize,
+            node: Option<usize>,
+            clock: VectorClock,
+        }
+
+        #[derive(Debug, Default)]
+        struct ObjRecords {
+            last_write: Option<Rec>,
+            reads: Vec<Rec>,
+        }
+
+        #[derive(Debug, Default)]
+        pub(super) struct RefPorRun {
+            pub sleep: u64,
+            clocks: Vec<VectorClock>,
+            objects: HashMap<u32, ObjRecords>,
+            last_wildcard: Option<Rec>,
+            pub cur_node: Option<usize>,
+            pub foot: Footprint,
+            pub pending: Vec<Pending>,
+        }
+
+        impl RefPorRun {
+            pub fn reset(&mut self) {
+                self.sleep = 0;
+                for clock in &mut self.clocks {
+                    clock.clear();
+                }
+                self.objects.clear();
+                self.last_wildcard = None;
+                self.cur_node = None;
+                self.foot.clear();
+                self.pending.fill(Pending::NoObj);
+            }
+
+            fn clock_mut(&mut self, t: usize) -> &mut VectorClock {
+                if self.clocks.len() <= t {
+                    self.clocks.resize(t + 1, VectorClock::new());
+                }
+                &mut self.clocks[t]
+            }
+
+            pub fn clock(&self, t: usize) -> VectorClock {
+                self.clocks.get(t).cloned().unwrap_or_default()
+            }
+
+            pub fn set_pending(&mut self, t: usize, p: Pending) {
+                if self.pending.len() <= t {
+                    self.pending.resize(t + 1, Pending::NoObj);
+                }
+                self.pending[t] = p;
+            }
+
+            pub fn finish_transition(&mut self, p: usize) -> Vec<BacktrackDemand> {
+                let mut foot = std::mem::take(&mut self.foot);
+                match foot.declared {
+                    Pending::Obj { obj, write } => {
+                        if !foot.accesses.iter().any(|&(o, _)| o == obj) {
+                            foot.accesses.push((obj, write));
+                        }
+                    }
+                    Pending::Unknown => foot.wildcard = true,
+                    Pending::NoObj => {}
+                }
+                if foot.marks > 0 {
+                    foot.accesses.push((MARK_KEY, true));
+                }
+
+                let mut demands = Vec::new();
+                let mut clock = self.clock_mut(p).clone();
+                let meet =
+                    |rec: &Rec, clock: &mut VectorClock, demands: &mut Vec<BacktrackDemand>| {
+                        if rec.thread != p && !clock.covers(rec.thread, rec.clock.get(rec.thread)) {
+                            if let Some(node) = rec.node {
+                                demands.push(BacktrackDemand { node, thread: p });
+                            }
+                        }
+                        clock.join(&rec.clock);
+                    };
+                if let Some(rec) = &self.last_wildcard {
+                    meet(rec, &mut clock, &mut demands);
+                }
+                if foot.wildcard {
+                    let mut keys: Vec<u32> = self.objects.keys().copied().collect();
+                    keys.sort_unstable();
+                    for recs in keys.iter().map(|k| &self.objects[k]) {
+                        if let Some(rec) = &recs.last_write {
+                            meet(rec, &mut clock, &mut demands);
+                        }
+                        for rec in &recs.reads {
+                            meet(rec, &mut clock, &mut demands);
+                        }
+                    }
+                }
+                for &(o, w) in &foot.accesses {
+                    if let Some(recs) = self.objects.get(&o) {
+                        if let Some(rec) = &recs.last_write {
+                            meet(rec, &mut clock, &mut demands);
+                        }
+                        if w {
+                            for rec in &recs.reads {
+                                meet(rec, &mut clock, &mut demands);
+                            }
+                        }
+                    }
+                }
+
+                clock.tick(p);
+                let rec = Rec {
+                    thread: p,
+                    node: self.cur_node,
+                    clock: clock.clone(),
+                };
+                for &(o, w) in &foot.accesses {
+                    let recs = self.objects.entry(o).or_default();
+                    if w {
+                        recs.reads.clear();
+                        recs.last_write = Some(rec.clone());
+                    } else {
+                        recs.reads.retain(|r| r.thread != p);
+                        recs.reads.push(rec.clone());
+                    }
+                }
+                if foot.wildcard {
+                    self.last_wildcard = Some(rec);
+                }
+                *self.clock_mut(p) = clock.clone();
+                for &u in &foot.woke {
+                    self.clock_mut(u).join(&clock);
+                }
+
+                let mut sleep = self.sleep;
+                let mut t = 0;
+                while sleep >> t != 0 {
+                    let pending = self.pending.get(t).copied().unwrap_or_default();
+                    if sleep & (1u64 << t) != 0
+                        && (foot.woke.contains(&t) || foot.conflicts(pending))
+                    {
+                        sleep &= !(1u64 << t);
+                    }
+                    t += 1;
+                }
+                self.sleep = sleep;
+                self.cur_node = None;
+                foot.clear();
+                self.foot = foot;
+                demands
+            }
+        }
+    }
+
+    /// Drives the arena bookkeeping and the reference through the same
+    /// random transition scripts and compares them after every
+    /// transition: the demands (in order), the sleep mask, and every
+    /// thread's clock. One `PorRun` serves all scripts, so reuse across
+    /// runs and changing thread counts are covered too.
+    #[test]
+    fn arena_bookkeeping_matches_the_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        fn pending(rng: &mut SmallRng, objects: u32) -> Pending {
+            match rng.gen_range(0..4) {
+                0 => Pending::NoObj,
+                1 => Pending::Unknown,
+                _ => Pending::Obj {
+                    obj: rng.gen_range(0..objects),
+                    write: rng.gen_bool(0.5),
+                },
+            }
+        }
+
+        let mut rng = SmallRng::seed_from_u64(0x5eed_d90a);
+        let mut por = PorRun::new();
+        let mut demands = 0usize;
+        let mut wildcards = 0usize;
+        for _script in 0..400 {
+            let n = rng.gen_range(1..6);
+            let objects = rng.gen_range(1..5u32);
+            por.reset();
+            por.init_threads(n);
+            let mut reference = reference::RefPorRun::default();
+            reference.reset();
+            for t in 0..n {
+                reference.set_pending(t, Pending::NoObj);
+            }
+            for _transition in 0..rng.gen_range(1..40) {
+                let p = rng.gen_range(0..n);
+                // Pending declarations of the parked threads.
+                for _ in 0..rng.gen_range(0..3) {
+                    let t = rng.gen_range(0..n);
+                    let decl = pending(&mut rng, objects);
+                    por.set_pending(t, decl);
+                    reference.set_pending(t, decl);
+                }
+                // The decision: forced (no node) or chosen at a node,
+                // possibly putting threads to sleep.
+                let node = rng.gen_bool(0.7).then(|| rng.gen_range(0..50));
+                por.cur_node = node;
+                reference.cur_node = node;
+                if rng.gen_bool(0.3) {
+                    let slept = rng.gen_range(0..(1u64 << n)) & !(1u64 << p);
+                    por.sleep |= slept;
+                    reference.sleep |= slept;
+                }
+                let declared = pending(&mut rng, objects);
+                por.foot.declared = declared;
+                reference.foot.declared = declared;
+                // The transition's footprint.
+                for _ in 0..rng.gen_range(0..4) {
+                    let access = (rng.gen_range(0..objects), rng.gen_bool(0.5));
+                    por.foot.accesses.push(access);
+                    reference.foot.accesses.push(access);
+                }
+                let marks = if rng.gen_bool(0.3) {
+                    rng.gen_range(1..3)
+                } else {
+                    0
+                };
+                por.foot.marks = marks;
+                reference.foot.marks = marks;
+                if rng.gen_bool(0.2) {
+                    let woke = rng.gen_range(0..n);
+                    por.note_wake(woke);
+                    reference.foot.woke.push(woke);
+                }
+                if rng.gen_bool(0.15) {
+                    // A yield (or any wildcard step).
+                    por.note_access(crate::events::AccessEvent::NO_OBJ, AccessKind::Yield);
+                    reference.foot.wildcard = true;
+                    wildcards += 1;
+                }
+
+                let expected = reference.finish_transition(p);
+                let got = por.finish_transition(p).to_vec();
+                assert_eq!(got, expected, "demands of thread {p}");
+                demands += got.len();
+                assert_eq!(por.sleep, reference.sleep, "sleep mask");
+                for t in 0..n {
+                    let want: Vec<u64> = (0..n).map(|u| reference.clock(t).get(u)).collect();
+                    assert_eq!(por.clock(t), &want[..], "clock of thread {t}");
+                }
+            }
+        }
+        assert!(
+            demands > 1000 && wildcards > 500,
+            "scripts exercise demands and wildcards"
+        );
     }
 }

@@ -270,6 +270,9 @@ impl RtState {
              and Config::with_symmetry(Vec::new())"
         );
         self.threads.extend((0..n).map(|_| ThreadState::new()));
+        if let Some(por) = &mut self.por {
+            por.init_threads(n);
+        }
         while self.slots.len() < n {
             self.slots.push(Arc::new(WakeSlot::new()));
         }
@@ -369,23 +372,20 @@ impl RtState {
         // POR: the transition of the current thread just ended — settle
         // its footprint (happens-before joins, DPOR backtrack demands,
         // sleep-set wake-ups) before the next scheduling decision.
-        if let Some(mut por) = self.por.take() {
-            if let Some(cur) = self.current {
-                let demands = por.finish_transition(cur);
-                if !demands.is_empty() {
-                    let strategy = self.strategy.as_mut().expect("strategy present during run");
-                    for d in demands {
-                        // A demand landing on a symmetry-masked sibling is
-                        // redirected to the group representative: the
-                        // sibling can never be expanded at that node, so
-                        // the representative must cover the demanded
-                        // schedule's symmetric image instead.
-                        let thread = Self::redirect_demand(&self.sym_nodes, d.node, d.thread);
-                        strategy.add_backtrack(d.node, thread);
-                    }
+        if let (Some(por), Some(cur)) = (&mut self.por, self.current) {
+            let demands = por.finish_transition(cur);
+            if !demands.is_empty() {
+                let strategy = self.strategy.as_mut().expect("strategy present during run");
+                for d in demands {
+                    // A demand landing on a symmetry-masked sibling is
+                    // redirected to the group representative: the
+                    // sibling can never be expanded at that node, so
+                    // the representative must cover the demanded
+                    // schedule's symmetric image instead.
+                    let thread = Self::redirect_demand(&self.sym_nodes, d.node, d.thread);
+                    strategy.add_backtrack(d.node, thread);
                 }
             }
-            self.por = Some(por);
         }
 
         enabled.clear();

@@ -6,6 +6,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::ids::ThreadId;
+use crate::por::MAX_POR_THREADS;
 
 /// One recorded scheduling decision, for replay and debugging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,7 +136,7 @@ enum DfsNode {
 #[derive(Debug, Clone)]
 struct ThreadNode {
     /// The candidate thread ids, in runtime order.
-    candidates: Vec<usize>,
+    candidates: Candidates,
     /// Index into `candidates` of the branch being explored.
     chosen: usize,
     /// Thread-id bitmask of candidates whose subtrees are fully explored;
@@ -159,13 +160,62 @@ fn bit(t: usize) -> u64 {
     1u64 << t
 }
 
+/// The candidate list of a [`ThreadNode`], stored inline: thread nodes
+/// exist only while sleep or symmetry masks are in play, which caps thread
+/// ids below [`MAX_POR_THREADS`], so one byte per id suffices and a node
+/// needs no heap allocation.
+#[derive(Clone)]
+struct Candidates {
+    len: u8,
+    ids: [u8; MAX_POR_THREADS],
+}
+
+impl Candidates {
+    fn new(threads: &[usize]) -> Self {
+        assert!(threads.len() <= MAX_POR_THREADS);
+        let mut ids = [0u8; MAX_POR_THREADS];
+        for (slot, &t) in ids.iter_mut().zip(threads) {
+            assert!(t < MAX_POR_THREADS, "thread nodes need bitmask-sized ids");
+            *slot = t as u8;
+        }
+        Candidates {
+            len: threads.len() as u8,
+            ids,
+        }
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// The thread id at candidate position `i`.
+    fn get(&self, i: usize) -> usize {
+        usize::from(self.ids[..self.len()][i])
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ids[..self.len()].iter().map(|&t| usize::from(t))
+    }
+
+    /// Whether these are exactly `threads`, in order.
+    fn matches(&self, threads: &[usize]) -> bool {
+        self.len() == threads.len() && self.iter().zip(threads).all(|(a, &b)| a == b)
+    }
+}
+
+impl std::fmt::Debug for Candidates {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 impl ThreadNode {
     /// Advances to the next branch to explore, or `None` to pop: a
     /// candidate not yet done, not asleep at entry, and (unless `full`)
     /// demanded by a backtrack point.
     fn advance(&mut self) -> bool {
-        self.done |= bit(self.candidates[self.chosen]);
-        let next = self.candidates.iter().position(|&t| {
+        self.done |= bit(self.candidates.get(self.chosen));
+        let next = self.candidates.iter().position(|t| {
             self.done & bit(t) == 0
                 && self.sleep_entry & bit(t) == 0
                 && self.stolen & bit(t) == 0
@@ -199,7 +249,7 @@ impl ThreadNode {
     fn steal_position(&self) -> Option<usize> {
         (0..self.candidates.len())
             .rev()
-            .find(|&p| p != self.chosen && self.splittable(self.candidates[p]))
+            .find(|&p| p != self.chosen && self.splittable(self.candidates.get(p)))
     }
 }
 
@@ -286,16 +336,16 @@ impl DfsStrategy {
             DfsNode::Thread(tn) => {
                 tn.full = true;
                 let pos = tn.steal_position().expect("checked splittable above");
-                let thief_thread = tn.candidates[pos];
+                let thief_thread = tn.candidates.get(pos);
                 // Everything the victim explores before the stolen branch
                 // sleeps inside it, exactly as in the serial order.
                 let mut mask = tn.done;
-                for &t in &tn.candidates {
+                for t in tn.candidates.iter() {
                     if tn.splittable(t) && t != thief_thread {
                         mask |= bit(t);
                     }
                 }
-                mask |= bit(tn.candidates[tn.chosen]);
+                mask |= bit(tn.candidates.get(tn.chosen));
                 tn.stolen |= bit(thief_thread);
                 prefix.push(pos);
                 sleep.push(mask);
@@ -386,10 +436,11 @@ impl Strategy for DfsStrategy {
                      thread choice given the same schedule prefix"
                 );
             };
-            assert_eq!(
-                tn.candidates, candidates,
+            assert!(
+                tn.candidates.matches(candidates),
                 "nondeterministic replay: the candidate threads must match \
-                 given the same schedule prefix"
+                 given the same schedule prefix (recorded {:?}, now {candidates:?})",
+                tn.candidates
             );
             debug_assert_eq!(
                 tn.sleep_entry, cur_sleep,
@@ -407,7 +458,7 @@ impl Strategy for DfsStrategy {
                 .position(|&t| cur_sleep & bit(t) == 0)
                 .expect("caller guarantees an awake candidate");
             self.path.push(DfsNode::Thread(ThreadNode {
-                candidates: candidates.to_vec(),
+                candidates: Candidates::new(candidates),
                 chosen,
                 done: 0,
                 backtrack: bit(candidates[chosen]),
@@ -432,10 +483,10 @@ impl Strategy for DfsStrategy {
         // FG-DPOR: demand `thread` where it was a candidate; otherwise
         // (it was excluded, e.g. right after its own yield) demand every
         // candidate so no reordering is lost.
-        let wanted = if tn.candidates.contains(&thread) {
+        let wanted = if tn.candidates.iter().any(|t| t == thread) {
             bit(thread)
         } else {
-            tn.candidates.iter().fold(0u64, |m, &t| m | bit(t))
+            tn.candidates.iter().fold(0u64, |m, t| m | bit(t))
         };
         let added = wanted & !tn.backtrack;
         if added != 0 {
@@ -794,10 +845,11 @@ impl Strategy for FrontierStrategy {
                      thread choice given the same schedule prefix"
                 );
             };
-            assert_eq!(
-                tn.candidates, candidates,
+            assert!(
+                tn.candidates.matches(candidates),
                 "nondeterministic replay: the candidate threads must match \
-                 given the same schedule prefix"
+                 given the same schedule prefix (recorded {:?}, now {candidates:?})",
+                tn.candidates
             );
             self.cursor += 1;
             PorChoice {
@@ -812,7 +864,7 @@ impl Strategy for FrontierStrategy {
                 .expect("caller guarantees an awake candidate");
             if self.cursor < self.limit {
                 self.path.push(DfsNode::Thread(ThreadNode {
-                    candidates: candidates.to_vec(),
+                    candidates: Candidates::new(candidates),
                     chosen,
                     done: 0,
                     backtrack: bit(candidates[chosen]),
@@ -992,6 +1044,26 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 1 << depth);
+    }
+
+    /// Thread nodes hold candidate lists of the full `MAX_POR_THREADS`
+    /// width inline: all 64 ids survive the node, replay matches them, and
+    /// a demand on the highest id is expanded.
+    #[test]
+    fn thread_nodes_hold_max_por_threads_candidates() {
+        let candidates: Vec<usize> = (0..MAX_POR_THREADS).rev().collect();
+        let mut dfs = DfsStrategy::new_por();
+        dfs.begin_run();
+        let first = dfs.choose_thread_por(&candidates, 0, 0);
+        assert_eq!((first.index, first.node), (0, Some(0)));
+        dfs.add_backtrack(0, 0);
+        assert_eq!(dfs.backtrack_points(), 1);
+        assert!(dfs.end_run());
+        dfs.begin_run();
+        let second = dfs.choose_thread_por(&candidates, 0, 0);
+        assert_eq!(candidates[second.index], 0, "the demanded lowest id");
+        assert_eq!(second.slept, bit(MAX_POR_THREADS - 1));
+        assert!(!dfs.end_run());
     }
 
     /// A tree with varying arity per level.

@@ -3,9 +3,9 @@
 //!
 //! Sharding is P-compositionality (Horn & Kroening) applied online:
 //! linearizability is compositional over objects, so each object's
-//! stream is checked independently under its own lock. Connections
-//! touching different objects never contend; connections sharing an
-//! object serialize on that object's shard only.
+//! stream is checked independently under its own lock. Each connection
+//! registers its objects under fresh engine ids, so connections never
+//! share a shard and never contend on one.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,6 +37,8 @@ pub struct Engine {
     /// Counters folded from ended object generations.
     finished: Mutex<ShardCounters>,
     objects_finished: AtomicU64,
+    /// The last engine object id handed out to a connection.
+    next_object: AtomicU64,
     connections: AtomicU64,
     protocol_errors: AtomicU64,
     shutdown: AtomicBool,
@@ -52,11 +54,20 @@ impl Engine {
             verdicts: Arc::new(HistoryCache::new(HistoryCache::<bool>::DEFAULT_SHARDS)),
             finished: Mutex::new(ShardCounters::default()),
             objects_finished: AtomicU64::new(0),
+            next_object: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
         }
+    }
+
+    /// A fresh engine object id (from 1 upward), under which a connection
+    /// registers one of its stream's objects. Callers that feed
+    /// [`Engine::apply`] directly choose their own ids and must not mix
+    /// them with connections on one engine.
+    pub(crate) fn alloc_object_id(&self) -> u64 {
+        self.next_object.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Registers (or re-registers) `object`. Re-registering an id whose

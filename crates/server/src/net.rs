@@ -6,6 +6,7 @@
 //! request observed by any connection stops the whole service without
 //! signal machinery.
 
+use std::collections::HashMap;
 use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
@@ -15,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use lineup_wire::{FrameReader, WireError};
+use lineup_wire::{FrameReader, Record, WireError};
 
 use crate::engine::{Engine, EngineConfig};
 
@@ -185,18 +186,111 @@ fn join_workers(workers: &Arc<Mutex<Vec<thread::JoinHandle<()>>>>) {
 
 /// Ingests one stream: handshake, then demux every record until EOF or
 /// `Shutdown`. Used by both socket connections and `--replay` files.
+///
+/// Object ids are unique only within their stream (every
+/// `StreamRecorder` numbers its objects from 1), so each stream gets its
+/// own id namespace: its objects are registered with the engine under
+/// fresh engine-wide ids, and two connections never share a shard.
 pub fn serve_connection<S: Read>(engine: &Engine, stream: S) -> Result<(), WireError> {
     let mut reader = FrameReader::new(BufReader::with_capacity(READ_BUF, stream));
     reader.expect_hello()?;
     let mut cache = None;
+    let mut ids = StreamIds::default();
     while let Some(record) = reader.next_record()? {
-        let is_shutdown = matches!(record, lineup_wire::Record::Shutdown);
-        engine.apply(record, &mut cache);
+        let is_shutdown = matches!(record, Record::Shutdown);
+        match ids.translate(engine, record) {
+            Some(record) => engine.apply(record, &mut cache),
+            // An event or end for an object this stream has not
+            // registered (or already ended).
+            None => engine.note_protocol_error(),
+        }
         if is_shutdown {
             break;
         }
     }
     Ok(())
+}
+
+/// One stream's object-id namespace: its live objects' stream ids mapped
+/// to the engine ids they were registered under.
+#[derive(Debug, Default)]
+struct StreamIds {
+    live: HashMap<u64, u64>,
+    /// The last translation: consecutive records on one object skip the
+    /// map, so only registers and object switches pay for a lookup.
+    last: Option<(u64, u64)>,
+}
+
+impl StreamIds {
+    /// `record` with its object id moved into the engine's namespace;
+    /// `None` when it names an object the stream has no live registration
+    /// for. Re-registering a live id keeps its engine id, so the engine
+    /// replaces that object's generation as it would for one stream.
+    fn translate<'a>(&mut self, engine: &Engine, record: Record<'a>) -> Option<Record<'a>> {
+        Some(match record {
+            Record::ObjectRegister {
+                object,
+                kind,
+                threads,
+            } => {
+                let id = *self
+                    .live
+                    .entry(object)
+                    .or_insert_with(|| engine.alloc_object_id());
+                self.last = Some((object, id));
+                Record::ObjectRegister {
+                    object: id,
+                    kind,
+                    threads,
+                }
+            }
+            Record::Call {
+                object,
+                thread,
+                ts,
+                name,
+                args,
+            } => Record::Call {
+                object: self.lookup(object)?,
+                thread,
+                ts,
+                name,
+                args,
+            },
+            Record::Return {
+                object,
+                thread,
+                ts,
+                value,
+            } => Record::Return {
+                object: self.lookup(object)?,
+                thread,
+                ts,
+                value,
+            },
+            Record::ObjectEnd { object, stuck } => {
+                if self.last.is_some_and(|(s, _)| s == object) {
+                    self.last = None;
+                }
+                Record::ObjectEnd {
+                    object: self.live.remove(&object)?,
+                    stuck,
+                }
+            }
+            other @ (Record::Hello { .. } | Record::Shutdown) => other,
+        })
+    }
+
+    fn lookup(&mut self, object: u64) -> Option<u64> {
+        match self.last {
+            Some((s, id)) if s == object => Some(id),
+            _ => {
+                let id = *self.live.get(&object)?;
+                self.last = Some((object, id));
+                Some(id)
+            }
+        }
+    }
 }
 
 /// Convenience for tests and benches: serve a single in-memory or file
@@ -240,6 +334,54 @@ mod tests {
         rec.flush().unwrap();
         let out = buf.lock().unwrap().clone();
         out
+    }
+
+    /// Two streams that both number their object 1 get distinct engine
+    /// ids; a stream's events reach only objects it registered and has
+    /// not ended.
+    #[test]
+    fn streams_have_separate_object_namespaces() {
+        let engine = Engine::new(EngineConfig::default());
+        let register = |object| Record::ObjectRegister {
+            object,
+            kind: Some(AdtKind::Queue),
+            threads: 1,
+        };
+        let call = |object| Record::Call {
+            object,
+            thread: 0,
+            ts: 0,
+            name: "TryDequeue",
+            args: Vec::new(),
+        };
+        let engine_id = |r: Option<Record<'_>>| match r {
+            Some(Record::ObjectRegister { object, .. } | Record::Call { object, .. }) => {
+                Some(object)
+            }
+            Some(Record::ObjectEnd { object, .. }) => Some(object),
+            _ => None,
+        };
+        let (mut a, mut b) = (StreamIds::default(), StreamIds::default());
+        let a1 = engine_id(a.translate(&engine, register(1))).unwrap();
+        let b1 = engine_id(b.translate(&engine, register(1))).unwrap();
+        assert_ne!(a1, b1);
+        assert_eq!(engine_id(a.translate(&engine, call(1))), Some(a1));
+        assert_eq!(engine_id(b.translate(&engine, call(1))), Some(b1));
+        assert_eq!(
+            engine_id(a.translate(&engine, call(2))),
+            None,
+            "unregistered"
+        );
+        // Re-registering a live id keeps its engine id.
+        assert_eq!(engine_id(a.translate(&engine, register(1))), Some(a1));
+        let end = Record::ObjectEnd {
+            object: 1,
+            stuck: false,
+        };
+        assert_eq!(engine_id(a.translate(&engine, end.clone())), Some(a1));
+        assert_eq!(engine_id(a.translate(&engine, call(1))), None, "ended");
+        assert_eq!(engine_id(a.translate(&engine, end)), None, "ended twice");
+        assert_eq!(engine_id(b.translate(&engine, call(1))), Some(b1));
     }
 
     #[test]
